@@ -12,11 +12,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Ablation D", "DMSD control period sweep + 8x8 scalability check");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -72,4 +73,8 @@ int main(int argc, char** argv) {
                "cycles (slower loops just actuate less often), supporting the paper's\n"
                "choice of 10,000 cycles and its scalability argument.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -12,11 +12,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Ablation C", "Continuous vs discrete V/F levels (paper footnote 2)");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -57,4 +58,8 @@ int main(int argc, char** argv) {
                "RMSD-vs-DMSD verdict — delay penalty exceeds power advantage — never\n"
                "flips, which is the sense of the paper's footnote 2.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

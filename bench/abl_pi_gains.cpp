@@ -12,12 +12,13 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Ablation B", "DMSD PI gains: stability vs reactivity");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -79,4 +80,8 @@ int main(int argc, char** argv) {
                "paper's (0.025, 0.0125) trades a small steady error for damped actuation —\n"
                "its 'compromise between stability and reactivity'.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

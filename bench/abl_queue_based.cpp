@@ -16,11 +16,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Ablation G", "Queue-based (QBSD) vs RMSD / DMSD / No-DVFS");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -73,4 +74,8 @@ int main(int argc, char** argv) {
                "load where occupancy stops responding to frequency — supporting the\n"
                "paper's choice to sense delay directly.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "traffic/request_reply.hpp"
 
@@ -39,7 +40,7 @@ sim::Scenario::TrafficFactory rr_factory(double rate) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Ablation E", "Request-reply round-trip time under the three policies");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -85,4 +86,8 @@ int main(int argc, char** argv) {
                "RTT near 2x its one-way target plus service — quantifying the paper's\n"
                "'RMSD would be an inefficient choice' for request-reply traffic.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -16,11 +16,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Ablation A", "RMSD open-loop (Eq. 2) vs closed-loop load tracking");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -52,4 +53,8 @@ int main(int argc, char** argv) {
                "frequency, delay and power columns); the closed loop needs more settle\n"
                "cycles. The open-loop law additionally needs no in-network measurement.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -20,12 +20,13 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "traffic/step_load.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Ablation F", "Load-step transient: RMSD vs DMSD control traces");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -96,4 +97,8 @@ int main(int argc, char** argv) {
                "guarantee — increasing K_I/K_P (ablation B) buys back reaction time at\n"
                "the cost of ripple.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -20,6 +20,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
@@ -104,7 +105,7 @@ void run_app(bench::Harness& h, const std::string& app) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 10", "Multimedia workloads: delay and power vs app speed");
   h.config().declare("apps", "h264,vce", "comma list of apps to sweep");
   if (!h.parse(argc, argv)) return h.exit_code();
@@ -117,4 +118,8 @@ int main(int argc, char** argv) {
                "saving still costs disproportionate application delay — the delay-based\n"
                "policy remains the better trade-off (paper Sec. VI).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
@@ -42,7 +43,7 @@ double island_freq_spread_ghz(const sim::RunResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 11 (extension)",
                    "VF islands: distributed RMSD/DMSD/QBSD over clock-domain partitions");
   h.config().declare("layouts", "global,quadrants,per_router",
@@ -148,4 +149,8 @@ int main(int argc, char** argv) {
                "signal still reflects the whole path, so distributed DMSD degrades\n"
                "gracefully at the cost of the synchronizer latency per crossing.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
@@ -43,7 +44,7 @@ double leak_excess_pct(const sim::RunResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 12 (extension)",
                    "RC thermal network: temperature-dependent leakage and thermally-aware "
                    "RMSD/DMSD/QBSD throttling");
@@ -182,4 +183,8 @@ int main(int argc, char** argv) {
                "shifts the RMSD-vs-DMSD energy verdict, and per-quadrant islands confine\n"
                "the throttle to the domains that actually overheat.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
@@ -72,7 +73,7 @@ sim::SweepAxis routing_axis(const std::vector<std::string>& names) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 13 (extension)",
                    "RMSD vs DMSD across topologies, routing algorithms and faults");
   h.config().declare("topologies", "mesh,torus,cmesh,dragonfly",
@@ -191,4 +192,8 @@ int main(int argc, char** argv) {
                "DMSD keeps regulating the quantity the user sees (delay), absorbing\n"
                "topology and fault effects at the cost of tracking a moving target.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 
@@ -73,7 +74,7 @@ std::string ratio_fmt(double num, double den) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 14 (extension)",
                    "tail latency (p50/p95/p99/p99.9) under RMSD vs DMSD");
   h.config().declare("topologies", "mesh,torus",
@@ -157,4 +158,8 @@ int main(int argc, char** argv) {
                "more often. A torus shortens paths but narrows the distribution too —\n"
                "the ratio, not the absolute p99, is the policy signature.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

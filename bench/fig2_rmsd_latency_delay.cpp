@@ -16,11 +16,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 2", "RMSD vs No-DVFS: latency (cycles) and delay (ns)");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -78,4 +79,8 @@ int main(int argc, char** argv) {
             << "  RMSD latency in cycles is ~constant on [lambda_min, lambda_max] while the\n"
             << "  No-DVFS latency grows with load — the rate law pins the NoC at lambda_max.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

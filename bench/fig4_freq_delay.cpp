@@ -14,11 +14,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 4", "No-DVFS vs RMSD vs DMSD: frequency and delay");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -62,4 +63,8 @@ int main(int argc, char** argv) {
             << "  Max RMSD/DMSD delay ratio: " << common::Table::fmt(worst_ratio, 1)
             << "x   (paper annotates 1.9x, and 'up to 3x' overall)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -12,13 +12,14 @@
 
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "power/vf_curve.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   common::Config c;
   c.declare_double("vmin", 0.56, "lowest Vdd to tabulate [V]");
   c.declare_double("vmax", 0.90, "highest Vdd to tabulate [V]");
@@ -70,4 +71,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nAnchors match the paper exactly: 333 MHz at 0.56 V, 1 GHz at 0.90 V.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

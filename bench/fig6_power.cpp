@@ -11,11 +11,12 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 6", "Total NoC power vs injection rate");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -67,4 +68,8 @@ int main(int argc, char** argv) {
             << " ns vs DMSD " << common::Table::fmt(best_02_delay[1], 0)
             << " ns — the delay gap dwarfs the power gap (the paper's conclusion).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -14,11 +14,12 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 7", "Synthetic patterns: delay and power, three policies");
   h.config().declare("patterns", "tornado,bitcomp,transpose,neighbor",
                      "comma list of patterns to sweep");
@@ -80,4 +81,8 @@ int main(int argc, char** argv) {
   std::cout << "\nConclusion check: for every pattern the RMSD delay penalty exceeds its\n"
                "power advantage — the trade-off verdict is pattern-independent.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace nocdvfs;
@@ -60,7 +61,7 @@ std::vector<Variant> build_variants(const sim::Scenario& base) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   bench::Harness h("Figure 8", "Sensitivity: VCs, buffers, packet size, mesh size");
   if (!h.parse(argc, argv)) return h.exit_code();
 
@@ -109,4 +110,8 @@ int main(int argc, char** argv) {
   std::cout << "\nTrade-off verdict: DMSD preferred in " << verdicts_ok << "/" << verdicts_total
             << " operating points (paper: the conclusion holds under ALL variations).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

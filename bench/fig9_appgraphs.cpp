@@ -10,6 +10,7 @@
 #include <string>
 
 #include "apps/app_graphs.hpp"
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 
@@ -56,7 +57,7 @@ void dump(const apps::TaskGraph& g) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   // No simulation runs here — the graphs are static data — so this bench
   // uses a bare `common::Config` for `key=value` overrides and `help=1`.
   common::Config c;
@@ -85,4 +86,8 @@ int main(int argc, char** argv) {
     if (app == "vce") dump(apps::video_conference_encoder());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "obs/manifest.hpp"
 #include "sim/scenario.hpp"
@@ -286,7 +287,7 @@ void print_table(const std::vector<Measurement>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   common::Config cfg;
   cfg.declare("out", "", "write the fresh BENCH_core.json to this path");
   cfg.declare("compare", "",
@@ -391,4 +392,8 @@ int main(int argc, char** argv) {
   std::cout << "\nOK: no scenario regressed beyond the tolerance (max allowed loss "
             << static_cast<int>(tolerance * 100) << "%)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

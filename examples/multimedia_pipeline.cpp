@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/saturation.hpp"
@@ -20,7 +21,7 @@
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   sim::Scenario defaults;
   defaults.workload = sim::Scenario::Workload::App;
   defaults.phases.warmup_node_cycles = 80000;
@@ -103,4 +104,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

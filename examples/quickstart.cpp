@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/saturation.hpp"
 #include "sim/scenario.hpp"
@@ -19,7 +20,7 @@
 
 using namespace nocdvfs;
 
-int main() {
+static int main_body() {
   // 1. The scenario: the paper's default router & mesh, one value type.
   sim::Scenario cfg;
   cfg.network.width = 5;
@@ -67,3 +68,5 @@ int main() {
                "penalty exceeds its power advantage over DMSD — the paper's conclusion.\n";
   return 0;
 }
+
+int main() { return common::run_main(main_body); }

@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/replication.hpp"
@@ -20,7 +21,7 @@
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   sim::Scenario defaults;
   defaults.phases.warmup_node_cycles = 80000;
   defaults.phases.measure_node_cycles = 80000;
@@ -114,4 +115,8 @@ int main(int argc, char** argv) {
   std::cout << "\nReading: the policy ranking is far outside the seed noise; the SLA\n"
                "verdict from a single run is trustworthy.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/saturation.hpp"
@@ -17,7 +18,7 @@
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   common::Config c;
   c.declare("patterns", "uniform,tornado,bitcomp,transpose,neighbor", "patterns to probe");
   c.declare("vcs", "8", "comma list of VC counts");
@@ -70,4 +71,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n(The paper quotes 0.42 for uniform traffic on the default 5x5 router.)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

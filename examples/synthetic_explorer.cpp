@@ -11,6 +11,7 @@
 #include <iostream>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/saturation.hpp"
@@ -19,7 +20,7 @@
 
 using namespace nocdvfs;
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   sim::Scenario defaults;
   defaults.policy.lambda_max = 0.0;       // 0 = derive from measured saturation
   defaults.policy.target_delay_ns = 0.0;  // 0 = RMSD delay at lambda_max
@@ -105,4 +106,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

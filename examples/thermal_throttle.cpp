@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "power/energy_model.hpp"
 #include "sim/saturation.hpp"
@@ -50,7 +51,7 @@ void print_temp_map(const sim::Scenario& cfg, const sim::RunResult& r) {
 
 }  // namespace
 
-int main() {
+static int main_body() {
   // 1. A hotspot scenario at 70% of saturation: 30% of all traffic
   //    converges on the center tile, which becomes the thermal hotspot.
   sim::Scenario cfg;
@@ -176,3 +177,5 @@ int main() {
                "their operating point — per-region control the global loop cannot express.\n";
   return EXIT_SUCCESS;
 }
+
+int main() { return common::run_main(main_body); }

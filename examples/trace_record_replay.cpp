@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/scenario.hpp"
@@ -33,7 +34,7 @@ bool identical(double a, double b) { return a == b; }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int main_body(int argc, char** argv) {
   sim::Scenario defaults;
   defaults.network.width = 4;
   defaults.network.height = 4;
@@ -136,4 +137,8 @@ int main(int argc, char** argv) {
                "column)\n";
 
   return reproduced ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return common::run_main([&] { return main_body(argc, argv); });
 }

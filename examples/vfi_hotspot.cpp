@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/saturation.hpp"
 #include "sim/scenario.hpp"
@@ -23,7 +24,7 @@
 
 using namespace nocdvfs;
 
-int main() {
+static int main_body() {
   // 1. A hotspot scenario: 20% of all traffic converges on one node.
   sim::Scenario cfg;
   cfg.pattern = "hotspot";
@@ -102,3 +103,5 @@ int main() {
                "cannot express; each boundary crossing costs cdc_sync_cycles of latency.\n";
   return EXIT_SUCCESS;
 }
+
+int main() { return common::run_main(main_body); }

@@ -27,14 +27,14 @@ class RingBuffer {
 
   void push(T value) {
     NOCDVFS_ASSERT(!full(), "RingBuffer overflow");
-    slots_[(head_ + size_) % slots_.size()] = std::move(value);
+    slots_[wrap(head_ + size_)] = std::move(value);
     ++size_;
   }
 
   T pop() {
     NOCDVFS_ASSERT(!empty(), "RingBuffer underflow");
     T out = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    head_ = wrap(head_ + 1);
     --size_;
     return out;
   }
@@ -52,7 +52,7 @@ class RingBuffer {
   /// i-th element from the front (0 == front); for debug/tests only.
   const T& at(std::size_t i) const {
     NOCDVFS_ASSERT(i < size_, "RingBuffer::at out of range");
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
   }
 
   void clear() noexcept {
@@ -61,6 +61,12 @@ class RingBuffer {
   }
 
  private:
+  /// Index reduction for i < 2·capacity (every caller's bound) — a compare,
+  /// not a division.
+  std::size_t wrap(std::size_t i) const noexcept {
+    return i >= slots_.size() ? i - slots_.size() : i;
+  }
+
   std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file arbiter.hpp
-/// Single-resource arbiters. The switch allocator composes round-robin
-/// arbiters (BookSim's default); a matrix arbiter is provided as an
-/// alternative for the micro-architecture sensitivity experiments.
+/// Single-resource arbiters: round-robin (BookSim's default, the rule the
+/// router's switch allocator applies inline on its request bitmasks) and a
+/// matrix arbiter as an alternative for micro-architecture experiments.
 
 #include <cstdint>
 #include <memory>

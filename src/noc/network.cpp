@@ -79,7 +79,6 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg), topo_(cfg.width, cfg.hei
   RouterConfig rcfg;
   rcfg.num_vcs = cfg.num_vcs;
   rcfg.vc_buffer_depth = cfg.vc_buffer_depth;
-  rcfg.routing = cfg.routing;
 
   NiConfig ncfg;
   ncfg.num_vcs = cfg.num_vcs;
@@ -325,7 +324,7 @@ void Network::park_quiescent(Island& isl) {
 
 bool Network::tile_quiescent(NodeId tile) const {
   const auto i = static_cast<std::size_t>(tile);
-  if (routers_[i]->buffered_now() != 0) return false;
+  if (routers_[i]->buffered_flits() != 0) return false;
   for (const NodeId nd : tile_nis_[i]) {
     if (!nis_[static_cast<std::size_t>(nd)]->idle()) return false;
   }
@@ -452,7 +451,7 @@ std::uint64_t Network::total_flits_dropped() const {
 
 std::uint64_t Network::buffered_flits_now() const {
   std::uint64_t n = 0;
-  for (const auto& r : routers_) n += static_cast<std::uint64_t>(r->buffered_now());
+  for (const auto& r : routers_) n += static_cast<std::uint64_t>(r->buffered_flits());
   return n;
 }
 
@@ -502,7 +501,7 @@ std::uint64_t Network::island_buffered_flits_now(int island) const {
   const std::vector<NodeId>& tiles = skip_idle_ ? isl.active : isl.tiles;
   std::uint64_t n = 0;
   for (const NodeId id : tiles) {
-    n += static_cast<std::uint64_t>(routers_[static_cast<std::size_t>(id)]->buffered_now());
+    n += static_cast<std::uint64_t>(routers_[static_cast<std::size_t>(id)]->buffered_flits());
   }
   return n;
 }
@@ -569,7 +568,7 @@ void Network::register_telemetry(obs::TelemetryRegistry& reg, bool full) const {
     return routers_[static_cast<std::size_t>(r)]->stalls().busy_vc_cycles;
   });
   reg.register_gauge("buffer_occupancy", MetricScope::Tile, nr, [this](int r) {
-    return static_cast<double>(routers_[static_cast<std::size_t>(r)]->buffered_now());
+    return static_cast<double>(routers_[static_cast<std::size_t>(r)]->buffered_flits());
   });
 
   // Node scope: the NI-side story (distinct from tiles on concentrated

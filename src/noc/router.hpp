@@ -4,8 +4,7 @@
 /// Input-queued virtual-channel router with the canonical 4-stage pipeline:
 ///
 ///   RC  — a head flit reaching the front of an Idle VC computes its output
-///         port (and the VC-class mask VA may use) via the routing engine,
-///         or plain dimension-ordered routing in the legacy mesh setup;
+///         port (and the VC-class mask VA may use) via the routing engine;
 ///   VA  — the VC requests an output VC (within its class mask) through a
 ///         separable input-first allocator; body flits inherit the grant;
 ///   SA  — per-cycle switch allocation: one flit per input port and per
@@ -23,12 +22,31 @@
 /// the reverse credit channel.
 ///
 /// The radix is dynamic (up to kMaxPorts) so one implementation serves
-/// mesh, torus, concentrated-mesh and dragonfly routers; the storage stays
-/// in fixed arrays and the mesh instantiation (radix 5) executes the exact
-/// historical sequence of operations. Under an active FaultModel a VC can
-/// enter the Drop state: its packet has no surviving route, and the flits
-/// drain out of the buffer (one per port per cycle, credits returned
-/// upstream) into the dropped-flit counters instead of the crossbar.
+/// mesh, torus, concentrated-mesh and dragonfly routers. Under an active
+/// FaultModel a VC can enter the Drop state: its packet has no surviving
+/// route, and the flits drain out of the buffer (one per port per cycle,
+/// credits returned upstream) into the dropped-flit counters instead of the
+/// crossbar.
+///
+/// Work sets: no stage scans ports×VCs. Each reads a bitmask of the VCs it
+/// serves (per input port p, bit v), kept exact at the transitions (+ sets,
+/// − clears) that change its predicate:
+///
+///   rc_             Idle, head buffered       +arrival, +tail leaves a head (ST,
+///                                             drain); −RC
+///   waiting_        Waiting                   +RC; −VA grant
+///   sa_candidates_  Active, flit buffered     +VA grant, +arrival; −ST empties
+///                                             the buffer or sends the tail
+///   sa_ready_       candidate whose output VC +VA grant or arrival with a credit,
+///                   has a credit              +credit 0→1 (OutputVc::owner_*);
+///                                             −ST spends the last credit, empties
+///                                             the buffer or sends the tail
+///   drop_           Drop, flit buffered       +RC finds no route, +arrival;
+///                                             −drain empties it or drops the tail
+///   free_vc_[q]     output VC u not held      +tail traverses; −VA grant
+///
+/// VcMasks::any (the ports with a non-empty set) gates each stage.
+/// audit_masks() rebuilds every set from the VC state (a test hook).
 
 #include <array>
 #include <cstdint>
@@ -37,8 +55,6 @@
 #include "common/ring_buffer.hpp"
 #include "noc/allocator.hpp"
 #include "noc/channel.hpp"
-#include "noc/routing.hpp"
-#include "noc/topology.hpp"
 #include "noc/types.hpp"
 #include "power/activity.hpp"
 #include "topo/routing_engine.hpp"
@@ -52,7 +68,6 @@ namespace nocdvfs::noc {
 struct RouterConfig {
   int num_vcs = 8;
   int vc_buffer_depth = 4;  ///< flits per VC FIFO
-  RoutingAlgo routing = RoutingAlgo::XY;
 };
 
 enum class VcStateKind : std::uint8_t {
@@ -88,12 +103,8 @@ struct RouterStallCounters {
 
 class Router : public topo::RouterView {
  public:
-  /// Legacy mesh form: radix 5, port peers and XY/YX routes derived from
-  /// the mesh directly (no routing engine). Unit tests build routers this
-  /// way; Network uses the generic form below.
-  Router(NodeId id, const MeshTopology& topo, const RouterConfig& cfg);
-  /// Generic form: `radix` ports, initially all self-peered and routed by a
-  /// required routing engine (set_routing_engine before the first cycle).
+  /// `radix` ports, initially all self-peered and routed by a required
+  /// routing engine (set_routing_engine before the first cycle).
   Router(NodeId id, int radix, const RouterConfig& cfg);
 
   Router(const Router&) = delete;
@@ -122,9 +133,9 @@ class Router : public topo::RouterView {
     port_peer_[static_cast<std::size_t>(port)] = tile;
   }
   /// First NI-local port index (ports below it are network links); splits
-  /// the local/link hop activity counters. The legacy mesh form sets 4.
+  /// the local/link hop activity counters.
   void set_first_local_port(int port) noexcept { first_local_port_ = port; }
-  /// Route via `engine` instead of the legacy mesh DOR path.
+  /// The routing engine RC consults (required before the first cycle).
   void set_routing_engine(const topo::RoutingEngine* engine);
   /// Fault mode: every traversed flit is reported to the engine (up*/down*
   /// phase tracking). Toggled by Network on fault epochs.
@@ -159,22 +170,27 @@ class Router : public topo::RouterView {
   int downstream_backlog(int port) const override;
 
   // --- introspection for tests and invariant checks ---
-  int buffered_flits() const noexcept;
-  /// O(1) occupancy snapshot (the maintained counter behind the scan
-  /// early-outs); sampled every cycle by the occupancy-based controller.
-  int buffered_now() const noexcept { return buffered_total_; }
+  /// Flits in all input FIFOs: an O(1) maintained counter (audit_masks
+  /// checks it), sampled every cycle by the occupancy-based controller.
+  int buffered_flits() const noexcept { return buffered_total_; }
   /// Flit slots across the wired input ports (occupancy denominator).
   int buffer_capacity() const noexcept {
     return static_cast<int>(wired_in_.size()) * cfg_.num_vcs * cfg_.vc_buffer_depth;
   }
-  int output_credits(PortDir port, int vc) const;
-  bool output_vc_allocated(PortDir port, int vc) const;
-  VcStateKind input_vc_state(PortDir port, int vc) const;
-  int input_vc_occupancy(PortDir port, int vc) const;
+  int output_credits(PortDir port, int vc) const { return output_vc(port, vc).credits; }
+  bool output_vc_allocated(PortDir port, int vc) const {
+    return output_vc(port, vc).owner_port >= 0;
+  }
+  VcStateKind input_vc_state(PortDir port, int vc) const { return input_vc(port, vc).state; }
+  int input_vc_occupancy(PortDir port, int vc) const {
+    return static_cast<int>(input_vc(port, vc).buffer.size());
+  }
   /// Flits/packets drained into the void because no route survived the
   /// active fault set (counted when the flit leaves the buffer).
   std::uint64_t dropped_flits() const noexcept { return dropped_flits_; }
   std::uint64_t dropped_packets() const noexcept { return dropped_packets_; }
+  /// VA-starved adaptive packets re-routed onto their escape path.
+  std::uint64_t escape_reroutes() const noexcept { return escape_reroutes_; }
   /// Stall-cause taxonomy (all zero unless stall tracking is enabled).
   const RouterStallCounters& stalls() const noexcept { return stalls_; }
   /// Flits that left through output port `port` (crossbar traversals only,
@@ -183,6 +199,10 @@ class Router : public topo::RouterView {
   std::uint64_t port_flits_forwarded(int port) const {
     return port_flits_tx_[static_cast<std::size_t>(port)];
   }
+  /// Test hook, never called by the simulator: rebuilds every work-set
+  /// mask from the VC states, buffers, credits and output-VC ownership and
+  /// throws common::InvariantViolation on the first mismatch.
+  void audit_masks() const;
 
  private:
   struct InputVc {
@@ -201,8 +221,7 @@ class Router : public topo::RouterView {
   };
   struct OutputVc {
     int credits = 0;
-    bool allocated = false;
-    int owner_port = -1;
+    int owner_port = -1;  ///< input port holding this VC; -1 when free
     int owner_vc = -1;
   };
   struct OutputPort {
@@ -212,46 +231,70 @@ class Router : public topo::RouterView {
     bool connected() const noexcept { return flit_out != nullptr; }
   };
 
-  void switch_allocation_and_traversal();
-  void drain_drops();
+  /// One set of VCs per input port, plus `any`: the ports whose set is
+  /// non-empty.
+  struct VcMasks {
+    std::uint32_t any = 0;
+    std::array<std::uint64_t, kMaxPorts> port{};
+
+    bool test(int p, int v) const noexcept {
+      return ((port[static_cast<std::size_t>(p)] >> v) & 1u) != 0;
+    }
+    void set(int p, int v) noexcept {
+      port[static_cast<std::size_t>(p)] |= std::uint64_t{1} << v;
+      any |= std::uint32_t{1} << p;
+    }
+    void clear(int p, int v) noexcept {
+      if ((port[static_cast<std::size_t>(p)] &= ~(std::uint64_t{1} << v)) == 0) {
+        any &= ~(std::uint32_t{1} << p);
+      }
+    }
+    std::uint64_t count() const noexcept;  ///< VCs in the set, all ports
+  };
+
+  const InputVc& input_vc(PortDir port, int vc) const {
+    return in_.at(static_cast<std::size_t>(port_index(port))).vcs.at(static_cast<std::size_t>(vc));
+  }
+  const OutputVc& output_vc(PortDir port, int vc) const {
+    return out_.at(static_cast<std::size_t>(port_index(port))).vcs.at(static_cast<std::size_t>(vc));
+  }
+
+  /// SA+ST, then the drop drain (compute_phase's flit-moving half).
+  void forward();
+  /// SA+ST; returns the input ports that sent a flit (each pushed its one
+  /// credit of the cycle upstream).
+  std::uint32_t switch_allocation_and_traversal();
+  void drain_drops(std::uint32_t credit_pushed);
   void vc_allocation();
   void route_computation();
   void traverse(int in_port, int in_vc);
-  /// compute_phase with the stall pre-classification wrapped around the
-  /// same stage sequence (only entered when tracking is on and there is
-  /// buffered or droppable work).
-  void compute_phase_tracked();
+  /// The tail left input VC (p, v): back to Idle, and a buffered next head
+  /// joins rc_.
+  void end_packet(int p, int v);
+  /// forward() with the stall classification wrapped around it (only
+  /// entered when tracking is on and flits are buffered).
+  void forward_tracked();
 
   NodeId id_;
-  const MeshTopology* topo_;  ///< legacy mesh routing (null with an engine)
   const topo::RoutingEngine* engine_ = nullptr;
   RouterConfig cfg_;
   int radix_;
   std::vector<InputPort> in_;
   std::vector<OutputPort> out_;
   SeparableAllocator va_alloc_;
-  std::vector<int> sa_input_ptr_;   ///< per input port: round-robin over VCs
-  std::vector<int> sa_output_ptr_;  ///< per output port: round-robin over input ports
+  std::array<int, kMaxPorts> sa_input_ptr_{};   ///< per input port: round-robin over VCs
+  std::array<int, kMaxPorts> sa_output_ptr_{};  ///< per output port: round-robin over inputs
   power::ActivityCounters activity_;
 
-  // Scan early-outs: pipeline stages iterate ports×VCs, and most of those
-  // slots are dead most of the time. These counters — maintained on every
-  // state transition — let each stage skip entirely when it has no work,
-  // which is the difference between O(active) and O(ports·VCs) per cycle.
-  int buffered_total_ = 0;  ///< flits in all input FIFOs (gates SA)
-  int waiting_count_ = 0;   ///< VCs in Waiting state (gates VA)
-  int rc_pending_ = 0;      ///< Idle VCs with a buffered head (gates RC)
-  int drop_pending_ = 0;    ///< VCs in Drop state (gates the drain stage)
+  int buffered_total_ = 0;  ///< flits in all input FIFOs
 
-  /// Per input port: bit v set iff VC v is Active with a buffered flit —
-  /// the SA stage-1 candidate set (credit availability checked at scan
-  /// time). Lets the hot path visit only populated VCs. num_vcs <= 64 is
-  /// enforced at construction.
-  std::array<std::uint64_t, kMaxPorts> sa_candidates_{};
-  /// Per input port: a credit was pushed upstream this cycle (SA traversal
-  /// or drop drain) — the drain stage respects the 1-credit/cycle channel
-  /// budget. Only maintained while drop_pending_ > 0.
-  std::array<std::uint8_t, kMaxPorts> credit_pushed_{};
+  // Work sets (see the file comment for the transition that keeps each).
+  VcMasks rc_;
+  VcMasks waiting_;
+  VcMasks sa_candidates_;
+  VcMasks sa_ready_;
+  VcMasks drop_;
+  std::array<std::uint64_t, kMaxPorts> free_vc_{};  ///< per output port: unheld VCs
 
   std::vector<int> wired_in_;   ///< indices of connected input ports
   std::vector<int> wired_out_;  ///< indices of connected output ports
@@ -263,6 +306,7 @@ class Router : public topo::RouterView {
   int first_local_port_ = 0;      ///< ports >= this are NI-local
   std::uint64_t dropped_flits_ = 0;
   std::uint64_t dropped_packets_ = 0;
+  std::uint64_t escape_reroutes_ = 0;
   RouterStallCounters stalls_;
   /// Flits forwarded per output port (always-on; feeds link heatmaps).
   std::array<std::uint64_t, kMaxPorts> port_flits_tx_{};

@@ -9,9 +9,8 @@
 /// acyclic, deadlock-free with any number of VCs). Adaptive
 /// (minimal-adaptive with escape VCs) and Ugal (UGAL-L non-minimal with
 /// Valiant fallback paths) are implemented by topo::RoutingEngine, which
-/// also supplies the per-topology VC-class discipline they require;
-/// `route_dor` treats them as XY so legacy single-router call sites stay
-/// well-defined.
+/// also supplies the per-topology VC-class discipline they require and
+/// builds its mesh DOR on `route_dor` (which treats them as XY).
 
 #include "noc/topology.hpp"
 #include "noc/types.hpp"

@@ -173,7 +173,9 @@ TEST(LatencyHistogramSnapshot, QuantilesSurviveSerialization) {
   // Sparse: only non-empty buckets, in ascending index order.
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < snap.bucket_index.size(); ++i) {
-    if (i > 0) EXPECT_LT(snap.bucket_index[i - 1], snap.bucket_index[i]);
+    if (i > 0) {
+      EXPECT_LT(snap.bucket_index[i - 1], snap.bucket_index[i]);
+    }
     EXPECT_GT(snap.bucket_count[i], 0u);
     total += snap.bucket_count[i];
   }

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -27,24 +28,62 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Global allocation counter (for the off-mode zero-allocation test). The
-// replacement operators delegate to malloc/free, so every other test runs
-// through them too — harmless, they only add a relaxed counter bump.
+// replacement operators delegate to malloc/aligned_alloc/free, so every
+// other test runs through them too — harmless, they only add a relaxed
+// counter bump. The set is complete (plain, array, nothrow and aligned
+// forms of new and delete), so no allocation made by the library through
+// one form is released through another; std::inplace_merge, for one,
+// allocates its buffer with the nothrow form.
 // ---------------------------------------------------------------------------
 
 std::atomic<std::uint64_t> g_allocations{0};
 
-}  // namespace
-
-void* operator new(std::size_t n) {
+void* counted_alloc(std::size_t n, std::size_t align) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (n == 0) n = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(n);
+  return std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+
+void* counted_alloc_or_throw(std::size_t n, std::size_t align) {
+  if (void* p = counted_alloc(n, align)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return operator new(n); }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, 0);
+}
+void* operator new(std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace nocdvfs {
 namespace {

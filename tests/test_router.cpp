@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "noc/channel.hpp"
 #include "noc/router.hpp"
+#include "topo/routing_engine.hpp"
+#include "topo/topology.hpp"
 
 namespace nocdvfs::noc {
 namespace {
@@ -25,12 +28,18 @@ Flit make_flit(NodeId src, NodeId dst, int index, int size, int vc) {
   return f;
 }
 
-/// Router 0 of a 2×1 mesh: ports Local and East are wired, the rest are
-/// absent (mesh edge). The test drives the channels directly.
+/// Router 0 of a 2×1 mesh routed XY by a topo::RoutingEngine: ports Local
+/// and East are wired, the rest are absent (mesh edge). The test drives the
+/// channels directly.
 class RouterHarness {
  public:
   explicit RouterHarness(RouterConfig cfg = RouterConfig{})
-      : topo_(2, 1), router_(0, topo_, cfg) {
+      : topo_(topo::Topology::make(topo::TopologyKind::Mesh, 2, 1, 1)),
+        engine_(*topo_, RoutingAlgo::XY, cfg.num_vcs),
+        router_(0, topo_->radix(0), cfg) {
+    router_.set_routing_engine(&engine_);
+    router_.set_first_local_port(topo_->num_net_ports(0));
+    router_.set_port_peer(port_index(PortDir::East), 1);
     router_.connect_input(PortDir::Local, &in_local, &credit_to_local_src);
     router_.connect_input(PortDir::East, &in_east, &credit_to_east_src);
     router_.connect_output(PortDir::Local, &out_local, &credit_from_local_sink);
@@ -47,6 +56,7 @@ class RouterHarness {
     }
     router_.receive_phase();
     router_.compute_phase();
+    router_.audit_masks();
   }
 
   /// Consume the credits the router sends back towards the flit sources —
@@ -59,12 +69,13 @@ class RouterHarness {
 
   Router& router() { return router_; }
 
-  MeshTopology topo_;
   FlitChannel in_local{1}, in_east{1}, out_local{1}, out_east{1};
   CreditChannel credit_to_local_src{1}, credit_to_east_src{1};
   CreditChannel credit_from_local_sink{1}, credit_from_east_sink{1};
 
  private:
+  std::unique_ptr<topo::Topology> topo_;
+  topo::RoutingEngine engine_;
   Router router_;
 };
 
@@ -281,21 +292,20 @@ TEST(Router, BufferOverflowFromCreditViolationIsCaught) {
 }
 
 TEST(Router, ConfigValidation) {
-  MeshTopology topo(2, 1);
   RouterConfig bad;
   bad.num_vcs = 0;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad), std::invalid_argument);
   bad.num_vcs = 65;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad), std::invalid_argument);
   bad.num_vcs = 4;
   bad.vc_buffer_depth = 0;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
-  EXPECT_THROW(Router(7, topo, RouterConfig{}), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, 0, RouterConfig{}), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMaxPorts + 1, RouterConfig{}), std::invalid_argument);
 }
 
 TEST(Router, WiringValidation) {
-  MeshTopology topo(2, 1);
-  Router r(0, topo, RouterConfig{});
+  Router r(0, kMeshPorts, RouterConfig{});
   FlitChannel f(1);
   CreditChannel c(1);
   EXPECT_THROW(r.connect_input(PortDir::Local, nullptr, &c), std::invalid_argument);

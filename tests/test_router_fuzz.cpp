@@ -6,21 +6,31 @@
 //   for every output VC:  router credits + credits in flight back to the
 //   router + flits the sink has not yet credited == buffer depth
 //
-// and, at the end, complete in-order delivery of every packet.
+// and, at the end, complete in-order delivery of every packet. Every fuzz
+// here also audits each router's work-set masks after every cycle
+// (Router::audit_masks), over every topology radix, adaptive routing with
+// escape re-routes, and faults that turn VCs into Drop VCs.
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "noc/channel.hpp"
 #include "noc/network.hpp"
 #include "noc/router.hpp"
+#include "topo/routing_engine.hpp"
+#include "topo/topology.hpp"
 
 namespace nocdvfs::noc {
 namespace {
+
+void audit_routers(const Network& net) {
+  for (int r = 0; r < net.num_routers(); ++r) net.router_at(r).audit_masks();
+}
 
 struct FuzzParams {
   int num_vcs;
@@ -35,8 +45,11 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   RouterConfig cfg;
   cfg.num_vcs = num_vcs;
   cfg.vc_buffer_depth = depth;
-  MeshTopology topo(2, 1);
-  Router router(0, topo, cfg);
+  const auto topo = topo::Topology::make(topo::TopologyKind::Mesh, 2, 1, 1);
+  const topo::RoutingEngine engine(*topo, RoutingAlgo::XY, num_vcs);
+  Router router(0, topo->radix(0), cfg);
+  router.set_routing_engine(&engine);
+  router.set_first_local_port(topo->num_net_ports(0));
 
   FlitChannel in_local(1), out_east(1), in_east(1), out_local(1);
   CreditChannel credit_src(1), credit_sink(1), credit_src_e(1), credit_sink_l(1);
@@ -76,6 +89,7 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
     }
     router.receive_phase();
     router.compute_phase();
+    ASSERT_NO_THROW(router.audit_masks()) << "cycle " << cyc;
 
     // Sink: receive flits, schedule credit return 1..4 cycles later.
     if (auto f = out_east.pop()) {
@@ -208,6 +222,8 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
     }
     on.step(static_cast<common::Picoseconds>(c) * 1000);
     off.step(static_cast<common::Picoseconds>(c) * 1000);
+    ASSERT_NO_THROW(audit_routers(on)) << "cycle " << c;
+    ASSERT_NO_THROW(audit_routers(off)) << "cycle " << c;
 
     // Conservation on the skip-idle network, every cycle: no flit may be
     // lost in a parked corner of the mesh.
@@ -268,6 +284,12 @@ struct TopologyFuzzParams {
   int num_vcs;
   const char* faults;  ///< "" = fault-free
   std::uint64_t seed;
+  int burst_packets = 1;  ///< injection attempts per burst cycle (load)
+  /// Coverage the case exists for, asserted after the run: VA-starved
+  /// adaptive packets re-routed onto their escape path, and packets drained
+  /// from router Drop VCs (not only refused at the NI).
+  bool expect_escape = false;
+  bool expect_drop_vcs = false;
 };
 
 class TopologyFuzz : public ::testing::TestWithParam<TopologyFuzzParams> {};
@@ -306,13 +328,15 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
                            : 20 + static_cast<int>(rng.uniform_below(101));
       }
       --phase_left;
-      if (burst && rng.bernoulli(0.7)) {
+      for (int k = 0; burst && k < p.burst_packets; ++k) {
+        if (!rng.bernoulli(0.7)) continue;
         const auto src = static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(n)));
         const auto dst = static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(n)));
         net.ni(src).enqueue_packet(dst, 5, static_cast<common::Picoseconds>(c) * 1000, c);
       }
     }
     net.step(static_cast<common::Picoseconds>(c) * 1000);
+    ASSERT_NO_THROW(audit_routers(net)) << "cycle " << c;
 
     // Fault-aware conservation, every cycle.
     ASSERT_EQ(net.total_flits_generated(),
@@ -347,6 +371,18 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
     // The fault fired and the reroute machinery engaged.
     EXPECT_GT(net.failed_links() + net.failed_routers(), 0);
   }
+  std::uint64_t escapes = 0;
+  std::uint64_t drop_vc_flits = 0;
+  for (int r = 0; r < net.num_routers(); ++r) {
+    escapes += net.router_at(r).escape_reroutes();
+    drop_vc_flits += net.router_at(r).dropped_flits();
+  }
+  if (p.expect_escape) {
+    EXPECT_GT(escapes, 0u) << "no VA-starvation escape re-route";
+  }
+  if (p.expect_drop_vcs) {
+    EXPECT_GT(drop_vc_flits, 0u) << "no flit drained from a Drop VC";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -366,7 +402,21 @@ INSTANTIATE_TEST_SUITE_P(
         TopologyFuzzParams{topo::TopologyKind::Dragonfly, 6, 4, 2, RoutingAlgo::Ugal, 4,
                            "links:1@1000", 37},
         TopologyFuzzParams{topo::TopologyKind::Mesh, 4, 4, 1, RoutingAlgo::Adaptive, 2,
-                           "routers:1@1000", 38}),
+                           "routers:1@1000", 38},
+        // Heavy bursts: VA starvation forces escape re-routes, and faults
+        // firing mid-burst strand in-flight packets in router Drop VCs.
+        TopologyFuzzParams{topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::Adaptive, 3, "",
+                           39, 16, false, false},
+        TopologyFuzzParams{topo::TopologyKind::Mesh, 4, 4, 1, RoutingAlgo::Adaptive, 2,
+                           "routers:2@1000", 40, 16, true, true},
+        TopologyFuzzParams{topo::TopologyKind::Cmesh, 4, 4, 2, RoutingAlgo::XY, 2,
+                           "routers:1@1000", 41, 16, false, true},
+        TopologyFuzzParams{topo::TopologyKind::Dragonfly, 6, 4, 2, RoutingAlgo::Ugal, 4,
+                           "routers:1@1000", 42, 16, false, true},
+        TopologyFuzzParams{topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::Ugal, 4,
+                           "routers:1@1000", 43, 16, false, true},
+        TopologyFuzzParams{topo::TopologyKind::Cmesh, 4, 4, 2, RoutingAlgo::Adaptive, 2, "",
+                           44, 16, false, false}),
     [](const ::testing::TestParamInfo<TopologyFuzzParams>& info) {
       return std::string(topo::to_string(info.param.kind)) + "_" +
              to_string(info.param.routing) + "_s" + std::to_string(info.param.seed);
